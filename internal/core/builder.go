@@ -56,6 +56,14 @@ type msgState struct {
 	recvDoneSet  bool
 	dataEmitted  bool
 	ackEmitted   bool
+
+	// completions counts the sides whose completing record has
+	// finished; at two the transfer is dead and goes back to the
+	// analyzer's free list.
+	completions uint8
+	// idx is the transfer's index in the compiled program (compile
+	// runs only).
+	idx int32
 }
 
 // collKey identifies one collective instance.
@@ -91,6 +99,9 @@ type collState struct {
 	parts    []collParticipant
 	resolved bool
 	lMax     float64 // the propagated max (approx mode), for labels
+
+	finished int   // participants whose record has finished
+	idx      int32 // index in the compiled program (compile runs only)
 }
 
 // --- per-rank state -----------------------------------------------------
@@ -121,10 +132,11 @@ type rankState struct {
 	myMsg     *msgState
 	myColl    *collState
 
-	stalled bool
-	why     string
-
 	region int32
+	// reg caches the stats bucket of (rank, region); nil until the first
+	// event of a region needs it, and reset whenever a marker moves the
+	// rank to another region.
+	reg *RegionStats
 
 	// Pending critical-path steps for the current record (valid only
 	// while crit recording is enabled).
@@ -139,7 +151,14 @@ type rankState struct {
 	ivPeerRank  int
 	ivPeerEvent int64
 
-	reqs map[uint64]*reqRef
+	// reqs holds the rank's outstanding nonblocking requests. A request
+	// is released at its completing wait, so the map (and the transfers
+	// it keeps alive) is bounded by what is in flight, not by how far
+	// the run has gone.
+	reqs map[uint64]reqRef
+	// req is the request the current completion record resolved, kept
+	// for the compile recorder after the entry has left reqs.
+	req reqRef
 
 	sendReqs    int64
 	waitedSends int64
@@ -150,7 +169,6 @@ type rankState struct {
 type reqRef struct {
 	msg    *msgState
 	isSend bool
-	waited bool
 }
 
 // --- analyzer -----------------------------------------------------------
@@ -165,6 +183,14 @@ type analyzer struct {
 	ranks  []*rankState
 	queues map[msgKey][]*msgState // unmatched posts, FIFO per key
 	colls  map[collKey]*collState
+
+	// Free lists of finished transfers, collectives and emptied queue
+	// backings. They hold at most what was once outstanding at the
+	// same time, so recycling keeps the analysis allocation-light
+	// without growing its retained state.
+	freeMsgs   []*msgState
+	freeColls  []*collState
+	freeQueues [][]*msgState
 
 	pendingOps int
 
@@ -182,6 +208,7 @@ type analyzer struct {
 
 	// Reusable collective-resolution buffers (see compute.go kernels).
 	csc         collScratch
+	collOrder   []*collParticipant
 	collIn      []collIn
 	collOutD    []float64
 	collOutAttr []Attribution
@@ -220,7 +247,7 @@ func newAnalyzer(set *trace.Set, model *Model, opts Options) (*analyzer, error) 
 			rank:   r,
 			reader: set.Rank(r),
 			region: -1,
-			reqs:   map[uint64]*reqRef{},
+			reqs:   map[uint64]reqRef{},
 		}
 		a.enqueue(r)
 	}
@@ -247,7 +274,7 @@ func (a *analyzer) run() (*Result, error) {
 	var stuck []string
 	for _, rs := range a.ranks {
 		if rs.ph != phaseEOF {
-			stuck = append(stuck, fmt.Sprintf("rank %d: %s", rs.rank, rs.why))
+			stuck = append(stuck, fmt.Sprintf("rank %d: %s", rs.rank, stallReason(rs)))
 		}
 	}
 	if len(stuck) > 0 {
@@ -307,7 +334,6 @@ func (a *analyzer) processBurst(rs *rankState) error {
 				return err
 			}
 			if !done {
-				rs.stalled = true
 				return nil // stalled; another rank will re-enqueue us
 			}
 		}
@@ -388,6 +414,10 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 	rec := rs.cur
 	var endD float64
 	var endAttr Attribution
+	// The transfer or collective this record finishes, released once
+	// finishRecord's hooks have read it.
+	var doneMsg *msgState
+	var doneColl *collState
 	if a.crit != nil {
 		// Default argmax: the event's own start subevent (the local
 		// internal edge). Remote-win completion paths overwrite this.
@@ -401,6 +431,7 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 	switch {
 	case rec.Kind == trace.KindMarker:
 		rs.region = rec.Tag
+		rs.reg = nil
 		endD = rs.startD
 		endAttr = rs.startAttr
 
@@ -415,6 +446,7 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 			return ok, err
 		}
 		endD, endAttr = d, attr
+		doneMsg = rs.myMsg
 
 	case rec.Kind == trace.KindIsend || rec.Kind == trace.KindIrecv:
 		endD = rs.startD // immediate return: end times unmodified (Eq. 2)
@@ -427,6 +459,7 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 			return ok, err
 		}
 		endD, endAttr = d, attr
+		doneMsg = rs.req.msg
 
 	case rec.Kind.IsCollective():
 		d, attr, ok, err := a.completeCollective(rs, rec)
@@ -434,12 +467,19 @@ func (a *analyzer) completeRecord(rs *rankState) (bool, error) {
 			return ok, err
 		}
 		endD, endAttr = d, attr
+		doneColl = rs.myColl
 
 	default:
 		return false, fmt.Errorf("core: rank %d: unsupported record kind %s", rs.rank, rec.Kind)
 	}
 
 	a.finishRecord(rs, rec, endD, endAttr)
+	if doneMsg != nil {
+		a.msgSideDone(doneMsg)
+	}
+	if doneColl != nil {
+		a.collPartDone(doneColl)
+	}
 	return true, nil
 }
 
@@ -472,8 +512,6 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 	rs.prevEnd = rec.End
 	rs.prevD = endD
 	rs.prevAttr = endAttr
-	rs.stalled = false
-	rs.why = ""
 	rs.eventIdx++
 	rs.ph = phaseFetch
 
@@ -507,18 +545,40 @@ func (a *analyzer) finishRecord(rs *rankState, rec trace.Record, endD float64, e
 		})
 	}
 
-	key := RegionKey{Rank: rs.rank, Region: rs.region}
-	reg := a.res.Regions[key]
-	if reg == nil {
-		reg = &RegionStats{}
-		a.res.Regions[key] = reg
-	}
+	reg := a.region(rs)
 	if !reg.firstSeen {
 		reg.firstSeen = true
 		reg.firstDelay = endD
 	}
 	reg.Events++
 	reg.DelayGrowth = endD - reg.firstDelay
+}
+
+// stallReason describes what a stuck rank is blocked on. Stalls are
+// cheap and frequent while a run is healthy, so the text is built here,
+// only once a run has ended with unresolved events.
+func stallReason(rs *rankState) string {
+	rec := rs.cur
+	switch {
+	case rec.Kind.IsCompletion():
+		return fmt.Sprintf("%s req=%d", rec.Kind, rec.Req)
+	case rec.Kind.IsCollective() && rs.myColl != nil:
+		// A rank stalled on a collective is not retried until the
+		// collective resolves, so the count it saw is its own arrival
+		// position.
+		cs := rs.myColl
+		arrived := 0
+		for i := range cs.parts {
+			if cs.parts[i].rank == rs.rank {
+				arrived = i + 1
+				break
+			}
+		}
+		return fmt.Sprintf("%s comm=%d seq=%d (%d/%d arrived)",
+			rec.Kind, rec.Comm, rec.Seq, arrived, cs.expect)
+	default:
+		return fmt.Sprintf("%s peer=%d tag=%d", rec.Kind, rec.Peer, rec.Tag)
+	}
 }
 
 // finishRank handles EOF on one rank.
@@ -550,12 +610,16 @@ func (a *analyzer) combineLocal(rs *rankState, delta float64, w int64) (float64,
 // region returns (creating if needed) the stats bucket of the rank's
 // current marker region.
 func (a *analyzer) region(rs *rankState) *RegionStats {
+	if rs.reg != nil {
+		return rs.reg
+	}
 	key := RegionKey{Rank: rs.rank, Region: rs.region}
 	reg := a.res.Regions[key]
 	if reg == nil {
 		reg = &RegionStats{}
 		a.res.Regions[key] = reg
 	}
+	rs.reg = reg
 	return reg
 }
 
@@ -586,7 +650,10 @@ func (a *analyzer) postP2P(rs *rankState, rec trace.Record, isSend bool, startD 
 		}
 	}
 	if m == nil {
-		m = &msgState{}
+		m = a.newMsg()
+		if q == nil {
+			q = a.newQueue()
+		}
 		a.queues[key] = append(q, m)
 		a.windowGrow()
 	}
@@ -629,18 +696,56 @@ func (a *analyzer) resolveMatch(key msgKey, m *msgState, recvRank int) {
 	q := a.queues[key]
 	for i, cand := range q {
 		if cand == m {
-			a.queues[key] = append(q[:i], q[i+1:]...)
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = nil
+			q = q[:len(q)-1]
 			break
 		}
 	}
-	if len(a.queues[key]) == 0 {
+	if len(q) == 0 {
 		delete(a.queues, key)
+		a.freeQueues = append(a.freeQueues, q)
+	} else {
+		a.queues[key] = q
 	}
 	a.windowShrink()
 	for _, w := range m.waiters {
 		a.enqueue(w)
 	}
-	m.waiters = nil
+	m.waiters = m.waiters[:0]
+}
+
+// newMsg returns a zeroed transfer, reusing a finished one if any.
+func (a *analyzer) newMsg() *msgState {
+	if n := len(a.freeMsgs); n > 0 {
+		m := a.freeMsgs[n-1]
+		a.freeMsgs = a.freeMsgs[:n-1]
+		return m
+	}
+	return &msgState{}
+}
+
+// newQueue returns an empty queue backing, reusing an emptied one if
+// any.
+func (a *analyzer) newQueue() []*msgState {
+	if n := len(a.freeQueues); n > 0 {
+		q := a.freeQueues[n-1]
+		a.freeQueues = a.freeQueues[:n-1]
+		return q
+	}
+	return nil
+}
+
+// msgSideDone runs after a record that completed one side of m has
+// finished. Once both sides have, nothing refers to m any more (it has
+// left its queue, its requests have been released, and the record
+// hooks have read it), so it is reset and kept for reuse.
+func (a *analyzer) msgSideDone(m *msgState) {
+	m.completions++
+	if m.completions == 2 {
+		*m = msgState{waiters: m.waiters[:0]}
+		a.freeMsgs = append(a.freeMsgs, m)
+	}
 }
 
 // completeBlockingP2P resolves a blocking Send or Recv end subevent.
@@ -653,7 +758,6 @@ func (a *analyzer) completeBlockingP2P(rs *rankState, rec trace.Record) (float64
 	m := rs.myMsg
 	if !m.matched {
 		m.waiters = append(m.waiters, rs.rank)
-		rs.why = fmt.Sprintf("%s peer=%d tag=%d", rec.Kind, rec.Peer, rec.Tag)
 		return 0, Attribution{}, false, nil
 	}
 	var d float64
@@ -734,31 +838,31 @@ func (a *analyzer) recvCompletion(rs *rankState, m *msgState, w int64) (float64,
 func (a *analyzer) postNonblocking(rs *rankState, rec trace.Record) {
 	isSend := rec.Kind == trace.KindIsend
 	m := a.postP2P(rs, rec, isSend, rs.startD)
-	rs.reqs[rec.Req] = &reqRef{msg: m, isSend: isSend}
+	rs.reqs[rec.Req] = reqRef{msg: m, isSend: isSend}
 	rs.unwaited++
 	if isSend {
 		rs.sendReqs++
 	}
 }
 
-// completeWait resolves a Wait/Waitall record against its request.
+// completeWait resolves a Wait/Waitall record against its request and
+// releases the request once its transfer has matched. A second wait on
+// the same id is rejected, as the MPI runtime rejects it.
 func (a *analyzer) completeWait(rs *rankState, rec trace.Record) (float64, Attribution, bool, error) {
-	ref := rs.reqs[rec.Req]
-	if ref == nil {
-		return 0, Attribution{}, false, fmt.Errorf("core: rank %d: wait on unknown request %d", rs.rank, rec.Req)
+	ref, ok := rs.reqs[rec.Req]
+	if !ok {
+		return 0, Attribution{}, false, fmt.Errorf("core: rank %d: wait on unknown request %d (never posted or already completed)", rs.rank, rec.Req)
 	}
 	m := ref.msg
 	if !m.matched {
 		m.waiters = append(m.waiters, rs.rank)
-		rs.why = fmt.Sprintf("%s req=%d", rec.Kind, rec.Req)
 		return 0, Attribution{}, false, nil
 	}
-	if !ref.waited {
-		ref.waited = true
-		rs.unwaited--
-		if ref.isSend {
-			rs.waitedSends++
-		}
+	delete(rs.reqs, rec.Req)
+	rs.req = ref
+	rs.unwaited--
+	if ref.isSend {
+		rs.waitedSends++
 	}
 	var d float64
 	var attr Attribution

@@ -329,6 +329,72 @@ func TestWaitUnknownRequestFails(t *testing.T) {
 	}
 }
 
+// TestWaitTwiceOnRequestFails: a request is released at its completing
+// wait, so a second wait on the same id is an error, as it is in the
+// MPI runtime, not a silent re-resolution of the finished transfer.
+func TestWaitTwiceOnRequestFails(t *testing.T) {
+	isend := rec(trace.KindIsend, 100, 110)
+	isend.Peer, isend.Bytes, isend.Req = 1, 10, 3
+	w1 := rec(trace.KindWait, 120, 200)
+	w1.Req = 3
+	w2 := rec(trace.KindWaitall, 210, 220)
+	w2.Req = 3
+	recv := rec(trace.KindRecv, 100, 300)
+	recv.Peer, recv.Bytes = 0, 10
+	set := mkset(t,
+		[]trace.Record{rec(trace.KindInit, 0, 10), isend, w1, w2, rec(trace.KindFinalize, 400, 400)},
+		[]trace.Record{rec(trace.KindInit, 0, 10), recv, rec(trace.KindFinalize, 400, 400)},
+	)
+	_, err := Analyze(set, &Model{}, Options{})
+	const want = "core: rank 0: wait on unknown request 3 (never posted or already completed)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("double wait: got %v, want %q", err, want)
+	}
+}
+
+// TestStuckRankErrorText pins the diagnostic a deadlocked trace ends
+// with, for each kind of stall: a blocking send/recv, a wait, and a
+// collective short of participants.
+func TestStuckRankErrorText(t *testing.T) {
+	const prefix = "core: trace is not self-consistent; unresolved events: "
+	idle := []trace.Record{rec(trace.KindInit, 0, 10), rec(trace.KindFinalize, 50, 50)}
+
+	send := rec(trace.KindSend, 100, 200)
+	send.Peer, send.Tag, send.Bytes = 1, 5, 10
+
+	irecv := rec(trace.KindIrecv, 100, 110)
+	irecv.Peer, irecv.Tag, irecv.Req = 1, 2, 7
+	wait := rec(trace.KindWait, 120, 200)
+	wait.Req = 7
+
+	barrier := rec(trace.KindBarrier, 100, 200)
+	barrier.Seq, barrier.CommSize = 4, 3
+
+	for _, tc := range []struct {
+		name  string
+		ranks [][]trace.Record
+		want  string
+	}{
+		{"blocking", [][]trace.Record{{rec(trace.KindInit, 0, 10), send}, idle},
+			"[rank 0: send peer=1 tag=5]"},
+		{"wait", [][]trace.Record{{rec(trace.KindInit, 0, 10), irecv, wait}, idle},
+			"[rank 0: wait req=7]"},
+		// Each participant reports the arrivals it saw, its own included.
+		{"collective", [][]trace.Record{
+			{rec(trace.KindInit, 0, 10), barrier},
+			{rec(trace.KindInit, 0, 10), barrier},
+			idle,
+		}, "[rank 0: barrier comm=0 seq=4 (1/3 arrived) rank 1: barrier comm=0 seq=4 (2/3 arrived)]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Analyze(mkset(t, tc.ranks...), &Model{}, Options{})
+			if err == nil || err.Error() != prefix+tc.want {
+				t.Fatalf("got %v, want %q", err, prefix+tc.want)
+			}
+		})
+	}
+}
+
 func TestOverlappingRecordsRejected(t *testing.T) {
 	set := mkset(t, []trace.Record{
 		rec(trace.KindInit, 0, 100),

@@ -17,12 +17,11 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 		cs = a.colls[key]
 	}
 	if cs == nil {
-		cs = &collState{
-			kind:   rec.Kind,
-			bytes:  rec.Bytes,
-			expect: int(rec.CommSize),
-			root:   rec.Root,
-		}
+		cs = a.newColl()
+		cs.kind = rec.Kind
+		cs.bytes = rec.Bytes
+		cs.expect = int(rec.CommSize)
+		cs.root = rec.Root
 		a.colls[key] = cs
 		a.windowGrow()
 	}
@@ -47,8 +46,6 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 		rs.myColl = cs
 	}
 	if len(cs.parts) < cs.expect {
-		rs.why = fmt.Sprintf("%s comm=%d seq=%d (%d/%d arrived)",
-			rec.Kind, rec.Comm, rec.Seq, len(cs.parts), cs.expect)
 		return 0, Attribution{}, false, nil
 	}
 	if !cs.resolved {
@@ -85,6 +82,27 @@ func (a *analyzer) completeCollective(rs *rankState, rec trace.Record) (float64,
 	return 0, Attribution{}, false, fmt.Errorf("core: rank %d lost its collective participation", rs.rank)
 }
 
+// newColl returns an empty collective, reusing a finished one if any.
+func (a *analyzer) newColl() *collState {
+	if n := len(a.freeColls); n > 0 {
+		cs := a.freeColls[n-1]
+		a.freeColls = a.freeColls[:n-1]
+		return cs
+	}
+	return &collState{}
+}
+
+// collPartDone runs after a participant's collective record has
+// finished. Once every participant's has, the instance is reset and
+// kept for reuse.
+func (a *analyzer) collPartDone(cs *collState) {
+	cs.finished++
+	if cs.finished == len(cs.parts) {
+		*cs = collState{parts: cs.parts[:0]}
+		a.freeColls = append(a.freeColls, cs)
+	}
+}
+
 // resolveCollective computes each participant's outbound delay
 // contribution under the configured model. Participants are processed
 // in ascending world-rank order so sampling is deterministic.
@@ -94,10 +112,11 @@ func (a *analyzer) resolveCollective(cs *collState) {
 	a.nCollEdges += int64(2*len(cs.parts) - 1) // Fig. 4 hub in/out edges
 	// Sort participants by rank for deterministic sampling; arrival
 	// order depends on scheduling.
-	ordered := make([]*collParticipant, len(cs.parts))
+	ordered := a.collOrder[:0]
 	for i := range cs.parts {
-		ordered[i] = &cs.parts[i]
+		ordered = append(ordered, &cs.parts[i])
 	}
+	a.collOrder = ordered
 	for i := 1; i < len(ordered); i++ {
 		for j := i; j > 0 && ordered[j-1].rank > ordered[j].rank; j-- {
 			ordered[j-1], ordered[j] = ordered[j], ordered[j-1]

@@ -162,10 +162,8 @@ func (c *Compiled) Collectives() int { return len(c.colls) }
 type compileRecorder struct {
 	ops        []op
 	msgs       []compiledMsg
-	msgIdx     map[*msgState]int32
 	colls      []compiledColl
 	parts      []compiledCollPart
-	collIdx    map[*collState]int32
 	maxParts   int
 	regionIdx  map[RegionKey]int32
 	regionKeys []RegionKey
@@ -173,8 +171,6 @@ type compileRecorder struct {
 
 func newCompileRecorder() *compileRecorder {
 	return &compileRecorder{
-		msgIdx:    map[*msgState]int32{},
-		collIdx:   map[*collState]int32{},
 		regionIdx: map[RegionKey]int32{},
 	}
 }
@@ -201,7 +197,7 @@ func (r *compileRecorder) onBegin(rs *rankState, gap int64) {
 
 func (r *compileRecorder) onMatch(m *msgState) {
 	idx := int32(len(r.msgs))
-	r.msgIdx[m] = idx
+	m.idx = idx
 	r.msgs = append(r.msgs, compiledMsg{
 		sendRank:  int32(m.sendStartRef.Rank),
 		sendEvent: m.sendStartRef.Event,
@@ -214,7 +210,7 @@ func (r *compileRecorder) onMatch(m *msgState) {
 
 func (r *compileRecorder) onCollResolve(cs *collState, ordered []*collParticipant) {
 	idx := int32(len(r.colls))
-	r.collIdx[cs] = idx
+	cs.idx = idx
 	off := int32(len(r.parts))
 	for _, p := range ordered {
 		r.parts = append(r.parts, compiledCollPart{
@@ -252,22 +248,22 @@ func (r *compileRecorder) onEnd(rs *rankState, rec trace.Record) {
 	case rec.Kind == trace.KindInit || rec.Kind == trace.KindFinalize:
 		o.code = opEndLocal
 	case rec.Kind == trace.KindSend:
-		o.code, o.arg = opEndSend, r.msgIdx[rs.myMsg]
+		o.code, o.arg = opEndSend, rs.myMsg.idx
 	case rec.Kind == trace.KindRecv:
-		o.code, o.arg = opEndRecv, r.msgIdx[rs.myMsg]
+		o.code, o.arg = opEndRecv, rs.myMsg.idx
 	case rec.Kind == trace.KindIsend || rec.Kind == trace.KindIrecv:
 		o.code = opEndImmediate
 	case rec.Kind.IsCompletion():
-		ref := rs.reqs[rec.Req]
+		ref := rs.req
 		if ref.isSend {
 			o.code = opEndSend
 		} else {
 			o.code = opEndRecv
 		}
-		o.arg = r.msgIdx[ref.msg]
+		o.arg = ref.msg.idx
 	case rec.Kind.IsCollective():
 		o.code = opEndColl
-		cc := r.colls[r.collIdx[rs.myColl]]
+		cc := r.colls[rs.myColl.idx]
 		for j := int32(0); j < cc.partN; j++ {
 			if r.parts[cc.partOff+j].rank == int32(rs.rank) {
 				o.arg = cc.partOff + j

@@ -342,3 +342,34 @@ func TestReplayStateResetAllocs(t *testing.T) {
 		t.Errorf("replayState.reset allocates %.1f objects/call; want 0", allocs)
 	}
 }
+
+// TestAnalyzeAllocsPerEvent bounds the streaming analyzer's allocations
+// per traced event. Requests are held by value and released at their
+// waits, stall diagnostics are formatted only on the error path, and
+// finished transfers, collectives and queue backings are recycled, so
+// what remains is set-up and the Result: about 0.11 allocations per
+// event on this trace. The bound leaves room for that to drift; one
+// allocation per request or per stall does not fit under it.
+func TestAnalyzeAllocsPerEvent(t *testing.T) {
+	const maxPerEvent = 0.2
+	snap := snapWorkload(t, "stencil2d", 16, workloads.Options{Iterations: 10})
+	model := &Model{
+		Seed:       9,
+		OSNoise:    dist.Exponential{MeanValue: 50},
+		MsgLatency: dist.Exponential{MeanValue: 200},
+	}
+	var events int64
+	allocs := testing.AllocsPerRun(10, func() {
+		set, release := snap.Acquire()
+		defer release()
+		res, err := Analyze(set, model, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = res.Events
+	})
+	if perEvent := allocs / float64(events); perEvent > maxPerEvent {
+		t.Fatalf("Analyze allocates %.0f objects over %d events (%.3f/event); want <= %.2f/event",
+			allocs, events, perEvent, maxPerEvent)
+	}
+}
