@@ -1,11 +1,11 @@
 package timeline
 
 import (
-	"bufio"
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"mpgraph/internal/core"
@@ -61,55 +61,15 @@ type ExportOptions struct {
 	Spans []obsv.Span
 }
 
-// traceEvent is one trace-event JSON object. Field order is fixed by
-// the struct, keeping the export byte-stable.
-type traceEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   int64          `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type eventWriter struct {
-	w     *bufio.Writer
-	first bool
-	err   error
-}
-
-func (ew *eventWriter) emit(e traceEvent) {
-	if ew.err != nil {
-		return
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		ew.err = err
-		return
-	}
-	if ew.first {
-		ew.first = false
-	} else {
-		ew.w.WriteString(",\n") //nolint:errcheck
-	}
-	_, ew.err = ew.w.Write(b)
-}
-
 // WriteJSON exports the timeline as Chrome trace-event JSON. See the
 // package comment for layout and doc/TIMELINE.md for how to open it.
 func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	ew := &eventWriter{w: bw, first: true}
+	en := newEncoder(w)
 
 	sel := opts.Ranks
-	exported := make(map[int]bool)
-	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidRanks, Args: map[string]any{"name": "simulated ranks"}})
+	exported := make([]bool, len(t.Ranks))
+	isExported := func(r int) bool { return r >= 0 && r < len(exported) && exported[r] }
+	en.process(pidRanks, "simulated ranks")
 	for r, evs := range t.Ranks {
 		if sel != nil && !containsInt(sel, r) {
 			continue
@@ -118,8 +78,7 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 			continue
 		}
 		exported[r] = true
-		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidRanks, Tid: r, Args: map[string]any{"name": fmt.Sprintf("rank %d", r)}})
-		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidRanks, Tid: r, Args: map[string]any{"sort_index": r}})
+		en.thread(pidRanks, r, "rank ")
 	}
 
 	// Per-rank slices: compute gap, execution, wait — balanced B/E
@@ -128,46 +87,32 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 		if !exported[r] {
 			continue
 		}
-		prevEnd := math.Inf(-1)
-		started := false
 		for i := range evs {
 			e := &evs[i]
-			if started && e.Start > prevEnd {
-				ew.emit(traceEvent{Name: "compute", Cat: catCompute, Ph: "B", Ts: prevEnd, Pid: pidRanks, Tid: r})
-				ew.emit(traceEvent{Ph: "E", Ts: e.Start, Pid: pidRanks, Tid: r})
+			if i > 0 && e.Start > evs[i-1].End {
+				en.slice("compute", catCompute, pidRanks, r, evs[i-1].End, e.Start)
 			}
 			if e.WaitStart > e.Start {
-				ew.emit(traceEvent{Name: e.Kind.String(), Cat: catOp, Ph: "B", Ts: e.Start, Pid: pidRanks, Tid: r})
-				ew.emit(traceEvent{Ph: "E", Ts: e.WaitStart, Pid: pidRanks, Tid: r})
+				en.slice(e.Kind.String(), catOp, pidRanks, r, e.Start, e.WaitStart)
 			}
 			if e.End > e.WaitStart {
-				ew.emit(traceEvent{Name: "wait:" + e.State.String(), Cat: catWait, Ph: "B", Ts: e.WaitStart, Pid: pidRanks, Tid: r})
-				ew.emit(traceEvent{Ph: "E", Ts: e.End, Pid: pidRanks, Tid: r})
+				en.slice(waitName(e.State), catWait, pidRanks, r, e.WaitStart, e.End)
 			}
-			prevEnd = e.End
-			started = true
 		}
 	}
 
-	// Message flows, sorted by destination (unique per completion) so
+	// Message flows in destination order (unique per completion), so
 	// the order does not depend on cross-rank arrival interleaving.
-	flows := append([]Flow(nil), t.Flows...)
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].DstRank != flows[j].DstRank {
-			return flows[i].DstRank < flows[j].DstRank
-		}
-		return flows[i].DstEvent < flows[j].DstEvent
-	})
 	var id int64
-	for _, f := range flows {
-		if !exported[f.SrcRank] || !exported[f.DstRank] {
+	for _, fi := range t.flowOrder() {
+		f := &t.Flows[fi]
+		if !isExported(f.SrcRank) || !isExported(f.DstRank) {
 			continue
 		}
-		src := &t.Ranks[f.SrcRank][f.SrcEvent]
-		dst := &t.Ranks[f.DstRank][f.DstEvent]
 		id++
-		ew.emit(traceEvent{Name: "msg", Cat: catDataflow, Ph: "s", Ts: src.Start, Pid: pidRanks, Tid: f.SrcRank, ID: id})
-		ew.emit(traceEvent{Name: "msg", Cat: catDataflow, Ph: "f", Ts: dst.End, Pid: pidRanks, Tid: f.DstRank, ID: id, BP: "e"})
+		en.flow("msg", catDataflow, id,
+			t.Ranks[f.SrcRank][f.SrcEvent].Start, f.SrcRank,
+			t.Ranks[f.DstRank][f.DstEvent].End, f.DstRank)
 	}
 
 	// Critical-path flows: one arrow per cross-rank step pair.
@@ -178,7 +123,7 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 			if a.Node.Rank == b.Node.Rank {
 				continue
 			}
-			if !exported[a.Node.Rank] || !exported[b.Node.Rank] {
+			if !isExported(a.Node.Rank) || !isExported(b.Node.Rank) {
 				continue
 			}
 			if !t.hasEvent(a.Node.Rank, a.Node.Event) || !t.hasEvent(b.Node.Rank, b.Node.Event) {
@@ -196,8 +141,7 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 			if fTs < sTs {
 				fTs = sTs
 			}
-			ew.emit(traceEvent{Name: "critpath", Cat: catCritpath, Ph: "s", Ts: sTs, Pid: pidRanks, Tid: a.Node.Rank, ID: cid})
-			ew.emit(traceEvent{Name: "critpath", Cat: catCritpath, Ph: "f", Ts: fTs, Pid: pidRanks, Tid: b.Node.Rank, ID: cid, BP: "e"})
+			en.flow("critpath", catCritpath, cid, sTs, a.Node.Rank, fTs, b.Node.Rank)
 		}
 	}
 
@@ -208,22 +152,51 @@ func (t *Timeline) WriteJSON(w io.Writer, opts ExportOptions) error {
 	}
 	for i, m := range wins {
 		ts := w0 + float64(i)*wsize
-		ew.emit(traceEvent{Name: "parallel_efficiency", Ph: "C", Ts: ts, Pid: pidRanks, Args: map[string]any{"value": m.ParallelEfficiency}})
-		ew.emit(traceEvent{Name: "comm_fraction", Ph: "C", Ts: ts, Pid: pidRanks, Args: map[string]any{"value": m.CommFraction}})
-		ew.emit(traceEvent{Name: "load_balance", Ph: "C", Ts: ts, Pid: pidRanks, Args: map[string]any{"value": m.LoadBalance}})
+		en.counter("parallel_efficiency", ts, m.ParallelEfficiency)
+		en.counter("comm_fraction", ts, m.CommFraction)
+		en.counter("load_balance", ts, m.LoadBalance)
 	}
 
 	if opts.Spans != nil {
-		emitSpans(ew, opts.Spans)
+		emitSpans(en, opts.Spans)
 	}
+	return en.finish()
+}
 
-	if ew.err != nil {
-		return ew.err
+// flowOrder returns the indices of t.Flows sorted by destination rank,
+// then destination event. Record appends each rank's flows in event
+// order, so a stable partition by rank already yields that order; a
+// bucket out of order (a hand-built timeline) is sorted explicitly.
+// Flows whose destination rank is off the timeline are dropped: they
+// are never exported.
+func (t *Timeline) flowOrder() []int32 {
+	next := make([]int, len(t.Ranks)+1) // bucket starts, then fill cursors
+	for i := range t.Flows {
+		if r := t.Flows[i].DstRank; r >= 0 && r < len(t.Ranks) {
+			next[r+1]++
+		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
+	for r := 1; r < len(next); r++ {
+		next[r] += next[r-1]
 	}
-	return bw.Flush()
+	order := make([]int32, next[len(next)-1])
+	for i := range t.Flows {
+		if r := t.Flows[i].DstRank; r >= 0 && r < len(t.Ranks) {
+			order[next[r]] = int32(i)
+			next[r]++
+		}
+	}
+	// next[r] is now the end of bucket r and the start of bucket r+1.
+	byEvent := func(a, b int32) int { return cmp.Compare(t.Flows[a].DstEvent, t.Flows[b].DstEvent) }
+	lo := 0
+	for r := range t.Ranks {
+		bucket := order[lo:next[r]]
+		lo = next[r]
+		if !slices.IsSortedFunc(bucket, byEvent) {
+			slices.SortFunc(bucket, byEvent)
+		}
+	}
+	return order
 }
 
 // nodeTime is the track time of a critical-path node: the event's
@@ -336,7 +309,7 @@ type WindowMetric struct {
 // packed greedily onto concurrency lanes (a span goes to the first
 // lane free at its start), one thread per lane, timestamps converted
 // from wall-clock nanoseconds to microseconds.
-func emitSpans(ew *eventWriter, spans []obsv.Span) {
+func emitSpans(en *encoder, spans []obsv.Span) {
 	ordered := append([]obsv.Span(nil), spans...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Start != ordered[j].Start {
@@ -364,10 +337,9 @@ func emitSpans(ew *eventWriter, spans []obsv.Span) {
 		laneEnd[lane] = s.End
 		lanes[i] = lane
 	}
-	ew.emit(traceEvent{Name: "process_name", Ph: "M", Pid: pidEngine, Args: map[string]any{"name": "engine"}})
+	en.process(pidEngine, "engine")
 	for l := range laneEnd {
-		ew.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidEngine, Tid: l, Args: map[string]any{"name": fmt.Sprintf("lane %d", l)}})
-		ew.emit(traceEvent{Name: "thread_sort_index", Ph: "M", Pid: pidEngine, Tid: l, Args: map[string]any{"sort_index": l}})
+		en.thread(pidEngine, l, "lane ")
 	}
 	for i, s := range ordered {
 		start := float64(s.Start) / 1e3
@@ -375,8 +347,7 @@ func emitSpans(ew *eventWriter, spans []obsv.Span) {
 		if end < start {
 			end = start
 		}
-		ew.emit(traceEvent{Name: s.Name, Cat: "engine", Ph: "B", Ts: start, Pid: pidEngine, Tid: lanes[i]})
-		ew.emit(traceEvent{Ph: "E", Ts: end, Pid: pidEngine, Tid: lanes[i]})
+		en.slice(s.Name, "engine", pidEngine, lanes[i], start, end)
 	}
 }
 
@@ -384,19 +355,25 @@ func emitSpans(ew *eventWriter, spans []obsv.Span) {
 // document — the -selftrace output of CLIs that have no simulated
 // timeline to attach the spans to.
 func WriteSpansJSON(w io.Writer, spans []obsv.Span) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
+	en := newEncoder(w)
+	emitSpans(en, spans)
+	return en.finish()
+}
+
+// waitNames holds the "wait:<state>" slice names, built once so the
+// export does not concatenate a string per wait slice.
+var waitNames = func() (names [core.WaitCollective + 1]string) {
+	for s := range names {
+		names[s] = "wait:" + core.WaitState(s).String()
 	}
-	ew := &eventWriter{w: bw, first: true}
-	emitSpans(ew, spans)
-	if ew.err != nil {
-		return ew.err
+	return names
+}()
+
+func waitName(s core.WaitState) string {
+	if int(s) < len(waitNames) {
+		return waitNames[s]
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return "wait:" + s.String()
 }
 
 func containsInt(xs []int, v int) bool {

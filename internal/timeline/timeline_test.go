@@ -21,25 +21,30 @@ import (
 // replay result.
 func replayTimeline(t *testing.T, model *core.Model) (*Timeline, *core.Result) {
 	t.Helper()
-	dir := t.TempDir()
-	prog, err := workloads.BuildByName("tokenring", workloads.Options{Iterations: 3})
+	return appTimeline(t, "tokenring", machine.Config{NRanks: 4, Seed: 1}, 3, model)
+}
+
+// appTimeline traces app on the simulated machine and replays the
+// trace compiled under model with interval and critical-path
+// recording on.
+func appTimeline(tb testing.TB, app string, mc machine.Config, iters int, model *core.Model) (*Timeline, *core.Result) {
+	tb.Helper()
+	dir := tb.TempDir()
+	prog, err := workloads.BuildByName(app, workloads.Options{Iterations: iters})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, err := mpi.Run(mpi.Config{
-		Machine:  machine.Config{NRanks: 4, Seed: 1},
-		TraceDir: dir,
-	}, prog); err != nil {
-		t.Fatal(err)
+	if _, err := mpi.Run(mpi.Config{Machine: mc, TraceDir: dir}, prog); err != nil {
+		tb.Fatal(err)
 	}
 	set, closeFn, err := trace.OpenDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer closeFn() //nolint:errcheck
 	c, err := core.Compile(set, core.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	tl := New(c.NRanks())
 	res, err := core.ReplayCompiled(c, model, core.Options{
@@ -47,7 +52,7 @@ func replayTimeline(t *testing.T, model *core.Model) (*Timeline, *core.Result) {
 		Interval:       tl.Record,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tl, res
 }

@@ -17,10 +17,16 @@ const (
 	// LintNonMonotone: a record begins before its predecessor on the
 	// same rank ended — local timestamps must be monotone.
 	LintNonMonotone = "non-monotone-timestamp"
+	// LintAfterFinalize: records follow the rank's finalize.
+	LintAfterFinalize = "after-finalize"
 	// LintUnmatchedSend / LintUnmatchedRecv: a point-to-point posting
 	// with no counterpart on the peer rank.
 	LintUnmatchedSend = "unmatched-send"
 	LintUnmatchedRecv = "unmatched-recv"
+	// LintPayloadMismatch: a FIFO-matched send and receive record
+	// different payload sizes. An irecv posted before its send records
+	// 0 bytes (its size is known only at the wait) and is not compared.
+	LintPayloadMismatch = "payload-mismatch"
 	// LintDanglingWait: a wait whose request id was never posted (or
 	// was already completed).
 	LintDanglingWait = "dangling-wait"
@@ -104,7 +110,14 @@ func sortedChanKeys(m map[chanKey][]lintRef) []chanKey {
 type lintRef struct {
 	rank  int
 	event int64
+	kind  trace.Kind
 	bytes int64
+}
+
+// sizeKnown reports whether the posting records its payload size: an
+// irecv posted before its send records 0, not knowing it yet.
+func (r lintRef) sizeKnown() bool {
+	return r.kind != trace.KindIrecv || r.bytes != 0
 }
 
 // collGroup accumulates one (comm, seq) collective's participants.
@@ -137,8 +150,15 @@ func LintTraces(traces []*trace.MemTrace) []Finding {
 	for rank, mt := range traces {
 		var prevEnd int64
 		pending := map[uint64]trace.Kind{}
+		finalized := false
 		for i, rec := range mt.Records {
 			ev := int64(i)
+			if rec.Kind == trace.KindFinalize && !finalized {
+				finalized = true
+				if after := len(mt.Records) - i - 1; after > 0 {
+					addf(LintAfterFinalize, rank, ev+1, "%s follows finalize at event %d (%d records after it)", mt.Records[i+1].Kind, ev, after)
+				}
+			}
 			if err := rec.Validate(); err != nil {
 				addf(LintBadRecord, rank, ev, "%v", err)
 				continue
@@ -152,10 +172,10 @@ func LintTraces(traces []*trace.MemTrace) []Finding {
 			switch {
 			case rec.Kind == trace.KindSend || rec.Kind == trace.KindIsend:
 				key := chanKey{comm: rec.Comm, src: int32(rank), dst: rec.Peer, tag: rec.Tag}
-				sends[key] = append(sends[key], lintRef{rank: rank, event: ev, bytes: rec.Bytes})
+				sends[key] = append(sends[key], lintRef{rank: rank, event: ev, kind: rec.Kind, bytes: rec.Bytes})
 			case rec.Kind == trace.KindRecv || rec.Kind == trace.KindIrecv:
 				key := chanKey{comm: rec.Comm, src: rec.Peer, dst: int32(rank), tag: rec.Tag}
-				recvs[key] = append(recvs[key], lintRef{rank: rank, event: ev, bytes: rec.Bytes})
+				recvs[key] = append(recvs[key], lintRef{rank: rank, event: ev, kind: rec.Kind, bytes: rec.Bytes})
 			case rec.Kind.IsCollective():
 				key := collKey{comm: rec.Comm, seq: rec.Seq}
 				g := colls[key]
@@ -220,6 +240,12 @@ func LintTraces(traces []*trace.MemTrace) []Finding {
 	for _, key := range sortedChanKeys(sends) {
 		ss := sends[key]
 		rs := recvs[key]
+		for i := 0; i < len(ss) && i < len(rs); i++ {
+			if rs[i].sizeKnown() && ss[i].bytes != rs[i].bytes {
+				addf(LintPayloadMismatch, rs[i].rank, rs[i].event, "%s of %d bytes matches %s of %d bytes at rank %d event %d (tag %d comm %d)",
+					rs[i].kind, rs[i].bytes, ss[i].kind, ss[i].bytes, ss[i].rank, ss[i].event, key.tag, key.comm)
+			}
+		}
 		for i := len(rs); i < len(ss); i++ {
 			addf(LintUnmatchedSend, ss[i].rank, ss[i].event, "send to rank %d tag %d comm %d has no matching receive", key.dst, key.tag, key.comm)
 		}

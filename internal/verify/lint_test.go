@@ -209,3 +209,99 @@ func TestLintGraphCleanFromAnalyzer(t *testing.T) {
 		t.Fatalf("built graph from a clean trace produced findings: %v", fs)
 	}
 }
+
+func TestLintPayloadMismatch(t *testing.T) {
+	fs := LintTraces([]*trace.MemTrace{
+		mem(0, 2, trace.Record{Kind: trace.KindSend, Begin: 0, End: 10, Peer: 1, Bytes: 99_999_999}),
+		mem(1, 2, trace.Record{Kind: trace.KindRecv, Begin: 0, End: 10, Peer: 0, Bytes: 4096}),
+	})
+	if !hasClass(fs, LintPayloadMismatch) {
+		t.Fatalf("want %s, got %v", LintPayloadMismatch, classes(fs))
+	}
+	if fs[0].Rank != 1 || fs[0].Event != 0 {
+		t.Fatalf("finding should name the receive, got %v", fs[0])
+	}
+}
+
+func TestLintPayloadUnknownIrecv(t *testing.T) {
+	// An irecv posted before its send records 0 bytes: its size is
+	// known only at the wait, so it matches any send. A nonzero irecv
+	// size is compared like any other.
+	irecv := func(bytes int64) []trace.Record {
+		return []trace.Record{
+			{Kind: trace.KindIrecv, Begin: 0, End: 1, Peer: 0, Req: 1, Bytes: bytes},
+			{Kind: trace.KindWait, Begin: 1, End: 10, Peer: trace.NoRank, Req: 1},
+		}
+	}
+	send := mem(0, 2, trace.Record{Kind: trace.KindSend, Begin: 0, End: 10, Peer: 1, Bytes: 4096})
+	if fs := LintTraces([]*trace.MemTrace{send, mem(1, 2, irecv(0)...)}); len(fs) > 0 {
+		t.Fatalf("irecv of unknown size flagged: %v", fs)
+	}
+	if fs := LintTraces([]*trace.MemTrace{send, mem(1, 2, irecv(512)...)}); !hasClass(fs, LintPayloadMismatch) {
+		t.Fatalf("want %s, got %v", LintPayloadMismatch, classes(fs))
+	}
+}
+
+func TestLintAfterFinalize(t *testing.T) {
+	fs := LintTraces([]*trace.MemTrace{
+		mem(0, 1,
+			trace.Record{Kind: trace.KindInit, Begin: 0, End: 1, Peer: trace.NoRank, Root: trace.NoRank},
+			trace.Record{Kind: trace.KindFinalize, Begin: 1, End: 2, Peer: trace.NoRank, Root: trace.NoRank},
+			trace.Record{Kind: trace.KindMarker, Begin: 2, End: 3, Peer: trace.NoRank, Root: trace.NoRank},
+			trace.Record{Kind: trace.KindFinalize, Begin: 3, End: 4, Peer: trace.NoRank, Root: trace.NoRank},
+			trace.Record{Kind: trace.KindMarker, Begin: 4, End: 5, Peer: trace.NoRank, Root: trace.NoRank},
+		),
+	})
+	if len(fs) != 1 || fs[0].Class != LintAfterFinalize || fs[0].Event != 2 {
+		t.Fatalf("want one %s finding at event 2, got %v", LintAfterFinalize, fs)
+	}
+}
+
+// TestLintHandMutations applies two hand mutations to a clean tokenring
+// trace that every engine analysed without a warning: a send whose
+// payload disagrees with its matched receive, and an event appended
+// after finalize.
+func TestLintHandMutations(t *testing.T) {
+	build := func() []*trace.MemTrace {
+		traces, err := fixedScenario(ClassLatency).BuildMemTraces()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs := LintTraces(traces); len(fs) > 0 {
+			t.Fatalf("clean trace produced findings: %v", fs)
+		}
+		return traces
+	}
+	mutations := []struct {
+		class string
+		mut   func(traces []*trace.MemTrace)
+	}{
+		{LintPayloadMismatch, func(traces []*trace.MemTrace) {
+			recs := traces[0].Records
+			for i := range recs {
+				if recs[i].Kind == trace.KindSend || recs[i].Kind == trace.KindIsend {
+					recs[i].Bytes = 99_999_999
+					return
+				}
+			}
+			t.Fatal("rank 0 sends nothing")
+		}},
+		{LintAfterFinalize, func(traces []*trace.MemTrace) {
+			mt := traces[1]
+			last := mt.Records[len(mt.Records)-1]
+			if last.Kind != trace.KindFinalize {
+				t.Fatalf("rank 1 ends with %s, not finalize", last.Kind)
+			}
+			mt.Records = append(mt.Records, trace.Record{Kind: trace.KindMarker, Begin: last.End, End: last.End + 1, Peer: trace.NoRank, Root: trace.NoRank})
+		}},
+	}
+	for _, m := range mutations {
+		t.Run(m.class, func(t *testing.T) {
+			traces := build()
+			m.mut(traces)
+			if fs := LintTraces(traces); !hasClass(fs, m.class) {
+				t.Fatalf("want %s, got %v", m.class, classes(fs))
+			}
+		})
+	}
+}
