@@ -45,7 +45,6 @@ func (c *Comm) collective(kind trace.Kind, bytes int64, rootIdx int, color, key 
 	w := r.world
 	t0 := p.now
 	p.now += w.m.SendOverhead() + w.m.OpNoise(p.rank)
-	p.state = stateReady
 	w.yield(p)
 
 	c.seq++
@@ -94,7 +93,7 @@ func (c *Comm) collective(kind trace.Kind, bytes int64, rootIdx int, color, key 
 		w.stats.Collectives++
 	} else {
 		cs.procs[idx] = p
-		w.block(p, fmt.Sprintf("%s(comm=%d seq=%d)", kind, c.id, c.seq))
+		w.block(p, blockReason{op: blockColl, kind: kind, comm: c.id, seq: c.seq})
 	}
 
 	rootWorld := trace.NoRank

@@ -250,7 +250,6 @@ func (c *Comm) RecvAny(tag int) (src int, bytes int64) {
 	w := r.world
 	t0 := p.now
 	p.now += w.m.RecvOverhead() + w.m.OpNoise(p.rank)
-	p.state = stateReady
 	w.yield(p)
 	wk := wildKey{comm: c.id, dst: int32(p.rank), tag: int32(tag)}
 	// Adopt the oldest still-unmatched pending send to us with this tag.
@@ -283,7 +282,7 @@ func (c *Comm) RecvAny(tag int) (src int, bytes int64) {
 		// Park until any matching send arrives.
 		wr := &wildRecv{recvPost: p.now, recvWaiter: p}
 		w.wildRecvs[wk] = append(w.wildRecvs[wk], wr)
-		w.block(p, fmt.Sprintf("recv(src=ANY tag=%d)", tag))
+		w.block(p, blockReason{op: blockRecvAny, tag: tag})
 		x = wr.adopted
 		if x == nil {
 			panic("mpi: wildcard receive resumed without a transfer")
@@ -357,12 +356,11 @@ func (c *Comm) sendMode(dst, tag int, bytes int64, mode sendMode) {
 	}
 	t0 := p.now
 	p.now += w.m.SendOverhead() + w.m.OpNoise(p.rank)
-	p.state = stateReady
 	w.yield(p)
 	x := w.postSendMode(c.id, int32(p.rank), dstW, int32(tag), bytes, p.now, mode)
 	if !x.cSValid {
 		x.sendWaiter = p
-		w.block(p, fmt.Sprintf("send(dst=%d tag=%d)", dstW, tag))
+		w.block(p, blockReason{op: blockSend, peer: dstW, tag: tag})
 	} else if x.cS > p.now {
 		p.now = x.cS
 	}
@@ -382,12 +380,11 @@ func (c *Comm) Recv(src, tag int) int64 {
 	}
 	t0 := p.now
 	p.now += w.m.RecvOverhead() + w.m.OpNoise(p.rank)
-	p.state = stateReady
 	w.yield(p)
 	x := w.postRecv(c.id, srcW, int32(p.rank), int32(tag), p.now)
 	if !x.cRValid {
 		x.recvWaiter = p
-		w.block(p, fmt.Sprintf("recv(src=%d tag=%d)", srcW, tag))
+		w.block(p, blockReason{op: blockRecv, peer: srcW, tag: tag})
 	} else if x.cR > p.now {
 		p.now = x.cR
 	}
@@ -410,7 +407,6 @@ func (c *Comm) Isend(dst, tag int, bytes int64) *Request {
 	}
 	t0 := p.now
 	p.now += w.m.SendOverhead() + w.m.OpNoise(p.rank)
-	p.state = stateReady
 	w.yield(p)
 	x := w.postSend(c.id, int32(p.rank), dstW, int32(tag), bytes, p.now)
 	p.reqSeq++
@@ -431,7 +427,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	}
 	t0 := p.now
 	p.now += w.m.RecvOverhead() + w.m.OpNoise(p.rank)
-	p.state = stateReady
 	w.yield(p)
 	x := w.postRecv(c.id, srcW, int32(p.rank), int32(tag), p.now)
 	p.reqSeq++

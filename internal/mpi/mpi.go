@@ -57,6 +57,10 @@ type Stats struct {
 	Collectives int64
 	// Events is the total number of trace records emitted.
 	Events int64
+	// Steps is the number of scheduling steps: how often a rank parked
+	// (at each MPI call and compute phase, and again when it blocks)
+	// for the scheduler to pick the next rank.
+	Steps int64
 }
 
 // Result describes a completed run.
@@ -97,21 +101,29 @@ type proc struct {
 	rank   int
 	now    int64 // global virtual time
 	state  procState
-	resume chan struct{}
+	resume chan struct{} // capacity 1: the baton handed to this proc
 	err    error
-	why    string // blocked-on description for deadlock reports
+	why    blockReason // what a blocked proc waits for, for deadlock reports
 
 	reqSeq uint64
 	tracer *tracer
 }
 
 // World is one run in progress.
+//
+// Exactly one goroutine holds the baton at a time: Run's goroutine
+// until the first dispatch and whenever the baton comes back on idle,
+// otherwise the running rank. A parking rank picks its successor from
+// the ready heap itself and hands the baton over on the successor's
+// resume channel, so an MPI call costs one goroutine switch, and that
+// channel operation orders every access to the world's state.
 type World struct {
-	cfg    Config
-	m      *machine.Machine
-	procs  []*proc
-	parked chan *proc
-	abort  bool
+	cfg   Config
+	m     *machine.Machine
+	procs []*proc
+	ready readyHeap     // the stateReady procs
+	idle  chan struct{} // baton back to Run: nothing ready, a rank failed, or abort
+	abort bool
 
 	queues    map[chanKey]*matchQueue
 	colls     map[collKey]*collSync
@@ -138,7 +150,8 @@ func Run(cfg Config, program Program) (*Result, error) {
 		cfg:        cfg,
 		m:          m,
 		procs:      make([]*proc, n),
-		parked:     make(chan *proc),
+		ready:      make(readyHeap, 0, n),
+		idle:       make(chan struct{}, 1),
 		queues:     make(map[chanKey]*matchQueue),
 		colls:      make(map[collKey]*collSync),
 		wildSends:  make(map[wildKey][]*xfer),
@@ -169,10 +182,11 @@ func Run(cfg Config, program Program) (*Result, error) {
 		p := &proc{
 			rank:   rank,
 			state:  stateReady,
-			resume: make(chan struct{}),
+			resume: make(chan struct{}, 1),
 		}
 		p.tracer = &tracer{world: w, rank: rank, sink: sinks[rank]}
 		w.procs[rank] = p
+		w.ready.push(p)
 	}
 	for rank := 0; rank < n; rank++ {
 		p := w.procs[rank]
@@ -217,7 +231,7 @@ func (w *World) runProc(p *proc, program Program) {
 			}
 		}
 		p.state = stateDone
-		w.parked <- p
+		w.handoff(p)
 	}()
 	<-p.resume // wait for the first schedule
 	if w.abort {
@@ -232,49 +246,51 @@ func (w *World) runProc(p *proc, program Program) {
 	rank.finalize()
 }
 
-// schedule is the deterministic run loop: repeatedly resume the ready
-// proc with the smallest virtual time (ties broken by rank), wait for
-// it to park, and stop when all procs are done or none can run.
+// schedule runs the world: it hands the baton to the earliest ready
+// proc, waits for it to come back, and settles the run. The procs pass
+// the baton among themselves in (now, rank) order; it returns here
+// when all are done, a rank failed, or none can run (deadlock).
 func (w *World) schedule() error {
-	for {
-		next := w.pickReady()
-		if next == nil {
-			if w.allDone() {
-				return w.collectErrors()
-			}
-			// Deadlock or error-induced stall: abort the stragglers.
-			deadlockErr := w.deadlockError()
-			w.abortAll()
-			if err := w.collectErrors(); err != nil {
-				return err
-			}
-			return deadlockErr
-		}
+	if next := w.ready.pop(); next != nil {
 		next.state = stateRunning
 		next.resume <- struct{}{}
-		p := <-w.parked
-		if p.state == stateRunning {
-			p.state = stateReady
-		}
-		if p.err != nil && !errors.Is(p.err, errAborted) && p.state == stateDone {
-			// A rank failed; stop everything.
-			w.abortAll()
-			return w.collectErrors()
-		}
+		<-w.idle
 	}
+	if err := w.collectErrors(); err != nil {
+		// A rank failed; stop everything.
+		w.abortAll()
+		return w.collectErrors()
+	}
+	if w.allDone() {
+		return nil
+	}
+	// Deadlock: abort the stragglers.
+	deadlockErr := w.deadlockError()
+	w.abortAll()
+	if err := w.collectErrors(); err != nil {
+		return err
+	}
+	return deadlockErr
 }
 
-func (w *World) pickReady() *proc {
-	var best *proc
-	for _, p := range w.procs {
-		if p.state != stateReady {
-			continue
-		}
-		if best == nil || p.now < best.now {
-			best = p
+// handoff passes the baton on from p, which has just parked (ready,
+// blocked or done): to the ready proc with the smallest (now, rank),
+// or back to Run's goroutine when the run is aborting, p failed, or
+// nothing is ready. It reports whether p picked itself, in which case
+// p keeps running without a channel operation.
+func (w *World) handoff(p *proc) bool {
+	if !w.abort && p.err == nil {
+		if next := w.ready.pop(); next != nil {
+			next.state = stateRunning
+			if next == p {
+				return true
+			}
+			next.resume <- struct{}{}
+			return false
 		}
 	}
-	return best
+	w.idle <- struct{}{}
+	return false
 }
 
 func (w *World) allDone() bool {
@@ -287,23 +303,18 @@ func (w *World) allDone() bool {
 }
 
 // abortAll releases every non-done proc so its goroutine can unwind.
+// Each released proc hands the baton straight back on idle.
 func (w *World) abortAll() {
 	w.abort = true
-	for {
-		released := false
+	for released := true; released; {
+		released = false
 		for _, p := range w.procs {
 			if p.state == stateBlocked || p.state == stateReady {
 				p.state = stateRunning
 				p.resume <- struct{}{}
-				q := <-w.parked
-				if q.state == stateRunning {
-					q.state = stateReady
-				}
+				<-w.idle
 				released = true
 			}
-		}
-		if !released {
-			break
 		}
 	}
 }
@@ -329,22 +340,31 @@ func (w *World) deadlockError() error {
 	return fmt.Errorf("mpi: deadlock; blocked ranks: %v", stuck)
 }
 
-// yield parks the calling proc and waits to be rescheduled. The caller
-// must have set p.state (stateReady to stay runnable, stateBlocked to
-// wait for another rank's action).
+// yield parks the running proc as ready at its current virtual time
+// and returns when the scheduler picks it again.
 func (w *World) yield(p *proc) {
-	w.parked <- p
+	p.state = stateReady
+	w.ready.push(p)
+	w.park(p)
+}
+
+// block parks the proc until another rank unblocks it.
+func (w *World) block(p *proc, why blockReason) {
+	p.state = stateBlocked
+	p.why = why
+	w.park(p)
+}
+
+// park hands the baton on and waits for it to come back.
+func (w *World) park(p *proc) {
+	w.stats.Steps++
+	if w.handoff(p) {
+		return
+	}
 	<-p.resume
 	if w.abort {
 		panic(errAborted)
 	}
-}
-
-// block parks the proc until another rank unblocks it.
-func (w *World) block(p *proc, why string) {
-	p.state = stateBlocked
-	p.why = why
-	w.yield(p)
 }
 
 // unblock marks a blocked proc runnable at global time t.
@@ -356,5 +376,96 @@ func (w *World) unblock(p *proc, t int64) {
 		p.now = t
 	}
 	p.state = stateReady
-	p.why = ""
+	w.ready.push(p)
+}
+
+// readyHeap is a binary min-heap of the ready procs ordered by (now,
+// rank): the earliest virtual time runs next, and among equal times
+// the lowest rank. A proc's now changes only while it runs or in
+// unblock, before it is pushed, so keys never go stale.
+type readyHeap []*proc
+
+func (h readyHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.now < b.now || a.now == b.now && a.rank < b.rank
+}
+
+func (h *readyHeap) push(p *proc) {
+	q := append(*h, p)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
+}
+
+// pop removes and returns the earliest ready proc, or nil.
+func (h *readyHeap) pop() *proc {
+	q := *h
+	n := len(q) - 1
+	if n < 0 {
+		return nil
+	}
+	top := q[0]
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
+
+// blockOp is the kind of operation a blocked proc waits in.
+type blockOp uint8
+
+const (
+	blockSend blockOp = iota
+	blockRecv
+	blockRecvAny
+	blockWait
+	blockColl
+)
+
+// blockReason records what a blocked proc waits for. It is formatted
+// only when a deadlock is reported.
+type blockReason struct {
+	op   blockOp
+	kind trace.Kind // collective kind
+	peer int32      // world rank: send destination, receive/wait peer
+	tag  int
+	comm int32
+	seq  int64
+	send bool // waiting on a send request
+}
+
+func (b blockReason) String() string {
+	switch b.op {
+	case blockSend:
+		return fmt.Sprintf("send(dst=%d tag=%d)", b.peer, b.tag)
+	case blockRecv:
+		return fmt.Sprintf("recv(src=%d tag=%d)", b.peer, b.tag)
+	case blockRecvAny:
+		return fmt.Sprintf("recv(src=ANY tag=%d)", b.tag)
+	case blockWait:
+		return fmt.Sprintf("wait(%s tag=%d peer=%d)", sideName(b.send), b.tag, b.peer)
+	default:
+		return fmt.Sprintf("%s(comm=%d seq=%d)", b.kind, b.comm, b.seq)
+	}
 }

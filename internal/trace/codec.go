@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -55,52 +56,22 @@ var ErrBadMagic = errors.New("trace: bad magic (not a trace stream)")
 // recording order. Close writes the stream terminator.
 type Encoder struct {
 	w         *bufio.Writer
+	buf       []byte // one encoded record
 	prevBegin int64
-	started   bool
 	closed    bool
-	buf       [binary.MaxVarintLen64]byte
 }
 
 // NewEncoder creates an encoder and immediately writes the header.
 func NewEncoder(w io.Writer, h Header) (*Encoder, error) {
-	if err := h.Validate(); err != nil {
+	hdr, err := appendHeader(nil, h)
+	if err != nil {
 		return nil, err
 	}
 	e := &Encoder{w: bufio.NewWriter(w)}
-	if _, err := e.w.WriteString(magic); err != nil {
+	if _, err := e.w.Write(hdr); err != nil {
 		return nil, err
 	}
-	e.putUvarint(formatVersion)
-	e.putUvarint(uint64(h.Rank))
-	e.putUvarint(uint64(h.NRanks))
-	e.putUvarint(uint64(h.ClockHz))
-	keys := make([]string, 0, len(h.Meta))
-	for k := range h.Meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.putUvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.putString(k)
-		e.putString(h.Meta[k])
-	}
-	e.started = true
 	return e, nil
-}
-
-func (e *Encoder) putUvarint(v uint64) {
-	n := binary.PutUvarint(e.buf[:], v)
-	e.w.Write(e.buf[:n]) //nolint:errcheck // bufio defers errors to Flush
-}
-
-func (e *Encoder) putVarint(v int64) {
-	n := binary.PutVarint(e.buf[:], v)
-	e.w.Write(e.buf[:n]) //nolint:errcheck
-}
-
-func (e *Encoder) putString(s string) {
-	e.putUvarint(uint64(len(s)))
-	e.w.WriteString(s) //nolint:errcheck
 }
 
 // Encode appends one record to the stream.
@@ -111,10 +82,57 @@ func (e *Encoder) Encode(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	e.putUvarint(uint64(r.Kind))
-	e.putVarint(r.Begin - e.prevBegin)
+	e.buf = appendRecord(e.buf[:0], r, e.prevBegin)
 	e.prevBegin = r.Begin
-	e.putUvarint(uint64(r.Duration()))
+	e.w.Write(e.buf) //nolint:errcheck // bufio defers errors to Flush
+	return nil
+}
+
+// Close writes the terminator and flushes buffered output. It does not
+// close the underlying writer.
+func (e *Encoder) Close() error {
+	if e.closed {
+		return nil
+	}
+	e.closed = true
+	e.w.WriteByte(0) //nolint:errcheck // terminator; bufio defers errors to Flush
+	return e.w.Flush()
+}
+
+// appendHeader validates h and appends its encoding to dst.
+func appendHeader(dst []byte, h Header) ([]byte, error) {
+	if err := h.Validate(); err != nil {
+		return nil, err
+	}
+	dst = append(dst, magic...)
+	dst = binary.AppendUvarint(dst, formatVersion)
+	dst = binary.AppendUvarint(dst, uint64(h.Rank))
+	dst = binary.AppendUvarint(dst, uint64(h.NRanks))
+	dst = binary.AppendUvarint(dst, uint64(h.ClockHz))
+	keys := make([]string, 0, len(h.Meta))
+	for k := range h.Meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for _, k := range keys {
+		dst = appendString(dst, k)
+		dst = appendString(dst, h.Meta[k])
+	}
+	return dst, nil
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendRecord appends the encoding of a valid record r, whose begin
+// is delta-encoded against prevBegin, the previous record's begin.
+func appendRecord(dst []byte, r Record, prevBegin int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(r.Kind))
+	dst = binary.AppendVarint(dst, r.Begin-prevBegin)
+	dst = binary.AppendUvarint(dst, uint64(r.Duration()))
 	var flags uint64
 	if r.Peer != NoRank && r.Peer != 0 || r.Peer == 0 && r.Kind.IsPointToPoint() {
 		flags |= flagPeer
@@ -140,43 +158,32 @@ func (e *Encoder) Encode(r Record) error {
 	if r.CommSize != 0 {
 		flags |= flagCommSize
 	}
-	e.putUvarint(flags)
+	dst = binary.AppendUvarint(dst, flags)
 	if flags&flagPeer != 0 {
-		e.putVarint(int64(r.Peer))
+		dst = binary.AppendVarint(dst, int64(r.Peer))
 	}
 	if flags&flagTag != 0 {
-		e.putVarint(int64(r.Tag))
+		dst = binary.AppendVarint(dst, int64(r.Tag))
 	}
 	if flags&flagBytes != 0 {
-		e.putUvarint(uint64(r.Bytes))
+		dst = binary.AppendUvarint(dst, uint64(r.Bytes))
 	}
 	if flags&flagReq != 0 {
-		e.putUvarint(r.Req)
+		dst = binary.AppendUvarint(dst, r.Req)
 	}
 	if flags&flagComm != 0 {
-		e.putVarint(int64(r.Comm))
+		dst = binary.AppendVarint(dst, int64(r.Comm))
 	}
 	if flags&flagSeq != 0 {
-		e.putUvarint(uint64(r.Seq))
+		dst = binary.AppendUvarint(dst, uint64(r.Seq))
 	}
 	if flags&flagRoot != 0 {
-		e.putVarint(int64(r.Root))
+		dst = binary.AppendVarint(dst, int64(r.Root))
 	}
 	if flags&flagCommSize != 0 {
-		e.putUvarint(uint64(r.CommSize))
+		dst = binary.AppendUvarint(dst, uint64(r.CommSize))
 	}
-	return nil
-}
-
-// Close writes the terminator and flushes buffered output. It does not
-// close the underlying writer.
-func (e *Encoder) Close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	e.putUvarint(0) // terminator
-	return e.w.Flush()
+	return dst
 }
 
 // Decoder reads a trace stream produced by Encoder.
@@ -266,7 +273,10 @@ func (d *Decoder) Header() Header { return d.header }
 
 // Decode reads the next record. It returns io.EOF after the stream
 // terminator (a clean end) and a wrapped io.ErrUnexpectedEOF if the
-// stream is truncated mid-record.
+// stream is truncated mid-record. A field whose value does not fit
+// the record (a kind above 255, a rank, tag, communicator or size
+// outside int32, a byte count or sequence number above MaxInt64, a
+// begin or end that overflows int64) is an error, not truncated.
 func (d *Decoder) Decode() (Record, error) {
 	if d.done {
 		return Record{}, io.EOF
@@ -282,77 +292,75 @@ func (d *Decoder) Decode() (Record, error) {
 		d.done = true
 		return Record{}, io.EOF
 	}
+	if kind > math.MaxUint8 {
+		return Record{}, fmt.Errorf("trace: invalid kind %d", kind)
+	}
 	var r Record
 	r.Kind = Kind(kind)
 	dbegin, err := binary.ReadVarint(d.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, truncated(err)
+	}
+	if dbegin > 0 && d.prev > math.MaxInt64-dbegin || dbegin < 0 && d.prev < math.MinInt64-dbegin {
+		return Record{}, fmt.Errorf("trace: begin delta %d overflows previous begin %d", dbegin, d.prev)
 	}
 	r.Begin = d.prev + dbegin
 	d.prev = r.Begin
 	dur, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, truncated(err)
+	}
+	if dur > uint64(math.MaxInt64-r.Begin) {
+		return Record{}, fmt.Errorf("trace: duration %d overflows begin %d", dur, r.Begin)
 	}
 	r.End = r.Begin + int64(dur)
 	flags, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, truncated(err)
 	}
 	r.Peer, r.Root = NoRank, NoRank
 	if flags&flagPeer != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
+		if r.Peer, err = d.readInt32("peer"); err != nil {
 			return Record{}, err
 		}
-		r.Peer = int32(v)
 	}
 	if flags&flagTag != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
+		if r.Tag, err = d.readInt32("tag"); err != nil {
 			return Record{}, err
 		}
-		r.Tag = int32(v)
 	}
 	if flags&flagBytes != 0 {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
+		if r.Bytes, err = d.readInt63("bytes"); err != nil {
 			return Record{}, err
 		}
-		r.Bytes = int64(v)
 	}
 	if flags&flagReq != 0 {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return Record{}, err
+		if r.Req, err = binary.ReadUvarint(d.r); err != nil {
+			return Record{}, truncated(err)
 		}
-		r.Req = v
 	}
 	if flags&flagComm != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
+		if r.Comm, err = d.readInt32("comm"); err != nil {
 			return Record{}, err
 		}
-		r.Comm = int32(v)
 	}
 	if flags&flagSeq != 0 {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
+		if r.Seq, err = d.readInt63("seq"); err != nil {
 			return Record{}, err
 		}
-		r.Seq = int64(v)
 	}
 	if flags&flagRoot != 0 {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
+		if r.Root, err = d.readInt32("root"); err != nil {
 			return Record{}, err
 		}
-		r.Root = int32(v)
 	}
 	if flags&flagCommSize != 0 {
 		v, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return Record{}, err
+			return Record{}, truncated(err)
+		}
+		if v > math.MaxInt32 {
+			return Record{}, fmt.Errorf("trace: size %d out of int32 range", v)
 		}
 		r.CommSize = int32(v)
 	}
@@ -360,4 +368,38 @@ func (d *Decoder) Decode() (Record, error) {
 		return Record{}, err
 	}
 	return r, nil
+}
+
+// readInt32 reads a varint field that must fit an int32.
+func (d *Decoder) readInt32(field string) (int32, error) {
+	v, err := binary.ReadVarint(d.r)
+	if err != nil {
+		return 0, truncated(err)
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("trace: %s %d out of int32 range", field, v)
+	}
+	return int32(v), nil
+}
+
+// readInt63 reads a uvarint field that must fit a non-negative int64.
+func (d *Decoder) readInt63(field string) (int64, error) {
+	v, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return 0, truncated(err)
+	}
+	if v > math.MaxInt64 {
+		return 0, fmt.Errorf("trace: %s %d out of int64 range", field, v)
+	}
+	return int64(v), nil
+}
+
+// truncated reports a read error inside a record. A stream that ends
+// there is truncated, never cleanly ended: io.EOF becomes
+// io.ErrUnexpectedEOF so no reader mistakes it for the terminator.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("trace: truncated record: %w", err)
 }

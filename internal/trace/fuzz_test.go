@@ -96,6 +96,10 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(edge)
 	f.Add(edge[:len(edge)-1])
 	f.Add(edge[:len(edge)-3])
+	// Fields that do not fit their record: each must be an error.
+	for _, c := range outOfRangeStreams(f) {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := NewDecoder(bytes.NewReader(data))
@@ -138,6 +142,9 @@ func FuzzTextReader(f *testing.F) {
 	for _, s := range malformedSeeds() {
 		f.Add(s)
 	}
+	// Out-of-range fields, rejected at parse time.
+	f.Add("# mpgt-text 1\nheader rank=0 nranks=2\nsend begin=0 end=1 peer=4294967297 bytes=8\n")
+	f.Add("# mpgt-text 1\nheader rank=0 nranks=1\nwait begin=0 end=1 req=-1\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		_, _, _ = ReadText(bytes.NewReader([]byte(s)))
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -212,9 +213,24 @@ func parseKV(fields []string, lineNo int) (kvmap, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: line %d: field %q is not key=value", lineNo, f)
 		}
+		if k == "req" {
+			// Request ids are unsigned: keep all 64 bits in the int64.
+			u, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("trace: line %d: req=%q is not an unsigned integer", lineNo, v)
+			}
+			m[k] = int64(u)
+			continue
+		}
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %s=%q is not an integer", lineNo, k, v)
+		}
+		switch k {
+		case "peer", "tag", "comm", "root", "size":
+			if n < math.MinInt32 || n > math.MaxInt32 {
+				return nil, fmt.Errorf("trace: line %d: %s=%d out of int32 range", lineNo, k, n)
+			}
 		}
 		m[k] = n
 	}

@@ -8,19 +8,24 @@ import (
 
 // Writer is the paper's memory-resident event buffer (Section 4): the
 // PMPI-style tracing layer records events into it, and when the buffer
-// fills it is dumped to the underlying encoder and reset. The buffer
+// fills it is dumped to the underlying stream and reset. The buffer
 // size is tunable "to compensate for event frequency and overhead for
-// I/O" — here it simply controls how often Encode batches are pushed
-// to the (possibly file-backed) stream.
+// I/O" — here it controls how many records go out per write.
+//
+// Records are encoded as they arrive, so the buffer holds their
+// compact binary form (about ten bytes for a typical record) and grows
+// on demand: a rank that records a thousand events holds about ten
+// kilobytes, whatever the capacity.
 type Writer struct {
-	enc      *Encoder
-	buf      []Record
-	capacity int
-	flushes  int
-	records  int64
-	closed   bool
-	lastEnd  int64
-	started  bool
+	w         io.Writer
+	buf       []byte // the header until the first dump, then encoded records
+	buffered  int    // records in buf
+	capacity  int
+	flushes   int
+	records   int64
+	prevBegin int64
+	lastEnd   int64
+	closed    bool
 }
 
 // NewWriter creates a buffered trace writer over w with the given
@@ -29,11 +34,11 @@ func NewWriter(w io.Writer, h Header, capacity int) (*Writer, error) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	enc, err := NewEncoder(w, h)
+	buf, err := appendHeader(nil, h)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{enc: enc, buf: make([]Record, 0, capacity), capacity: capacity}, nil
+	return &Writer{w: w, buf: buf, capacity: capacity}, nil
 }
 
 // Record appends one event. Events must be appended in non-decreasing
@@ -47,26 +52,27 @@ func (w *Writer) Record(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if w.started && r.Begin < w.lastEnd {
+	if w.records > 0 && r.Begin < w.lastEnd {
 		return fmt.Errorf("trace: out-of-order record: begin %d before previous end %d", r.Begin, w.lastEnd)
 	}
-	w.started = true
 	w.lastEnd = r.End
-	w.buf = append(w.buf, r)
+	w.buf = appendRecord(w.buf, r, w.prevBegin)
+	w.prevBegin = r.Begin
 	w.records++
-	if len(w.buf) >= w.capacity {
+	w.buffered++
+	if w.buffered >= w.capacity {
 		return w.flush()
 	}
 	return nil
 }
 
+// flush dumps the buffer to the underlying stream.
 func (w *Writer) flush() error {
-	for _, r := range w.buf {
-		if err := w.enc.Encode(r); err != nil {
-			return err
-		}
+	if _, err := w.w.Write(w.buf); err != nil {
+		return err
 	}
 	w.buf = w.buf[:0]
+	w.buffered = 0
 	w.flushes++
 	return nil
 }
@@ -76,11 +82,9 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	if err := w.flush(); err != nil {
-		return err
-	}
 	w.closed = true
-	return w.enc.Close()
+	w.buf = append(w.buf, 0) // stream terminator
+	return w.flush()
 }
 
 // Flushes returns how many times the internal buffer was dumped,
